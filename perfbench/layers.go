@@ -17,7 +17,6 @@ func (b *bench) layerMetrics() {
 		"core.classify_us":     {"core.classify", 1e3},
 		"core.put_us":          {"core.put", 1e3},
 		"sim.run_ms":           {"sim.run", 1e6},
-		"sim.trace_hash_ms":    {"sim.trace_hash", 1e6},
 		"dist.encode_us":       {"dist.encode", 1e3},
 		"dist.close_ms":        {"dist.close", 1e6},
 		"dist.merge_ms":        {"dist.merge", 1e6},
@@ -31,6 +30,9 @@ func (b *bench) layerMetrics() {
 	for name, s := range spanMean {
 		b.metrics[name] = metric{st[s.span].meanNS() / s.scale, unitOf(name)}
 	}
+	// The hash is folded on append, so its cost outside Machine.Run is the
+	// catch-up when folding is switched on plus the final read.
+	b.metrics["sim.trace_hash_ms"] = metric{(st["sim.trace_hash_catchup"].meanNS() + st["sim.trace_hash"].meanNS()) / 1e6, "ms"}
 }
 
 // runLayerMetrics records the per-run counts and the trace bookkeeping.
@@ -65,18 +67,10 @@ func (b *bench) runLayerMetrics(first, runs []*replicaRun, untracedRunNS, traced
 	if events > 0 {
 		b.metrics["sim.ns_per_event"] = metric{float64(st["sim.run"].selfNS) / events, "ns"}
 	}
-	// The overhead leaves out the off-path spans: work the traced run adds
-	// to check itself, which the untraced path never does.
-	var off float64
-	for _, s := range b.tr.spans {
-		if s.Off {
-			off += float64(s.self)
-		}
-	}
 	phases := mean(b.tr.runPhaseSelf())
 	if untracedRunNS > 0 {
 		b.metrics["trace.coverage_pct"] = metric{100 * phases / untracedRunNS, "%"}
-		b.metrics["trace.overhead_pct"] = metric{100 * ((tracedRunNS-off/n)/untracedRunNS - 1), "%"}
+		b.metrics["trace.overhead_pct"] = metric{100 * (tracedRunNS/untracedRunNS - 1), "%"}
 	}
 	b.report["traced_runs"] = metric{n, "count"}
 	b.report["counted_runs"] = metric{nf, "count"}

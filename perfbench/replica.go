@@ -14,10 +14,12 @@ import (
 // core.RunExperimentOpts takes them, so a span can sit around every call
 // into a layer: MachinePool.Get → NewInjector/ArmWindow/BindMachine →
 // Machine.Run → Classify → Trace().Hash() → JSONLWriter.OnRun → Put.
-// The hash is taken once at the end instead of folded on append, so its
-// span isolates its cost; FNV folds sequentially, so the digest is the
-// same. Every replicated run is checked against core.RunExperimentOpts
-// on the same seed (verifyReplica) before its numbers are used.
+// As on the runner's artefact path, the trace digest is folded on append:
+// the catch-up over the records the restored machine already holds and
+// the final read are spanned, and the folding during the run falls inside
+// the Machine.Run span. Every replicated run is checked against
+// core.RunExperimentOpts on the same seed (verifyReplica) before its
+// numbers are used.
 
 // machineOptions mirrors the machine configuration core.RunExperimentOpts
 // derives from a plan. If the runner's derivation drifts, the replica's
@@ -58,14 +60,10 @@ type replicaRun struct {
 
 // replica executes runs phase by phase on a shared pool.
 type replica struct {
-	tr   *tracer
-	pool *core.MachinePool
-	mode core.CampaignMode
-	// hashOnPath says the untraced path hashes the trace (an artefact hook
-	// is installed). Without it the hash is still taken, for the check
-	// against core.RunExperimentOpts, but its span is marked off-path.
-	hashOnPath bool
-	onRun      func(index int, r *core.RunResult)
+	tr    *tracer
+	pool  *core.MachinePool
+	mode  core.CampaignMode
+	onRun func(index int, r *core.RunResult)
 
 	mu   sync.Mutex
 	seen map[*core.Machine]bool
@@ -97,6 +95,10 @@ func (rp *replica) run(plan *core.TestPlan, seed uint64, index, parent int) (*re
 	if cold {
 		tr.rename(s, "core.build")
 	}
+
+	s = tr.begin("sim.trace_hash_catchup", top, runID)
+	m.Board.Trace().SetIncrementalHash(true)
+	tr.end(s)
 
 	s = tr.begin("core.inject_setup", top, runID)
 	injSeed := seed
@@ -154,9 +156,6 @@ func (rp *replica) run(plan *core.TestPlan, seed uint64, index, parent int) (*re
 	s = tr.begin("sim.trace_hash", top, runID)
 	res.TraceHash = m.Board.Trace().Hash()
 	tr.end(s)
-	if !rp.hashOnPath {
-		tr.markOff(s)
-	}
 
 	if rp.onRun != nil {
 		s = tr.begin("dist.encode", top, runID)

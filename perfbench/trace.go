@@ -21,16 +21,13 @@ type tracer struct {
 }
 
 // span is one timed call into a layer. Spans of one run share Run; Parent
-// is the index of the enclosing span (-1 at the top). Off marks a span
-// the untraced path does not execute (a verification step the traced run
-// adds), which the coverage figure leaves out.
+// is the index of the enclosing span (-1 at the top).
 type span struct {
 	Name   string `json:"name"`
 	Parent int    `json:"parent"`
 	Run    int    `json:"run"`
 	Start  int64  `json:"start_ns"`
 	End    int64  `json:"end_ns"`
-	Off    bool   `json:"off_path,omitempty"`
 	self   int64
 }
 
@@ -77,15 +74,6 @@ func (t *tracer) rename(id int, name string) {
 	}
 	t.mu.Lock()
 	t.spans[id].Name = name
-	t.mu.Unlock()
-}
-
-func (t *tracer) markOff(id int) {
-	if t == nil || id < 0 {
-		return
-	}
-	t.mu.Lock()
-	t.spans[id].Off = true
 	t.mu.Unlock()
 }
 
@@ -146,11 +134,11 @@ func (t *tracer) selfStats() map[string]*spanStat {
 }
 
 // runPhaseSelf returns, per traced run, the summed self time of the
-// run's on-path phase spans (children of the run span).
+// run's phase spans (children of the run span).
 func (t *tracer) runPhaseSelf() []float64 {
 	perRun := make(map[int]int64)
 	for _, s := range t.spans {
-		if s.Parent < 0 || s.Off || t.spans[s.Parent].Name != "run" {
+		if s.Parent < 0 || t.spans[s.Parent].Name != "run" {
 			continue
 		}
 		perRun[s.Run] += s.self
