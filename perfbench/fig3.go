@@ -36,13 +36,15 @@ const (
 	fig3Shards = 2
 )
 
-// evidencePass holds the timings of one pass through the evidence path.
+// evidencePass holds the timings of one pass through the evidence path:
+// the job (shards and merge) and the whole pass (with the reads).
 type evidencePass struct {
-	exec, merge, total time.Duration
-	reads              []time.Duration
-	merged             *core.CampaignResult
-	shards             []*dist.ShardFile
-	lines              map[int][]byte
+	job, pass   interval
+	exec, merge time.Duration
+	reads       []time.Duration
+	merged      *core.CampaignResult
+	shards      []*dist.ShardFile
+	lines       map[int][]byte
 }
 
 func runFig3(b *bench) error {
@@ -61,9 +63,7 @@ func runFig3(b *bench) error {
 	buildsBefore, _ := pool.Stats()
 
 	var (
-		jobs, merges, reads   []float64
-		executed              int
-		timed                 time.Duration
+		merges, reads         []float64
 		untracedNS, tracedNS  float64
 		tracedRuns, firstRuns []*replicaRun
 		artefacts, canonical  int
@@ -85,9 +85,9 @@ func runFig3(b *bench) error {
 		if !b.op(err, "evidence pass") {
 			return err
 		}
-		jobs = append(jobs, (p.exec + p.merge).Seconds())
-		executed += fig3Runs
-		timed += p.total
+		b.jobs = append(b.jobs, p.job)
+		b.timed = append(b.timed, p.pass)
+		b.runs += fig3Runs
 		merges = append(merges, p.merge.Seconds())
 		for _, d := range p.reads {
 			reads = append(reads, float64(d)/1e6)
@@ -123,7 +123,6 @@ func runFig3(b *bench) error {
 			return err
 		}
 	}
-	b.setJobs(jobs, executed, timed)
 	b.report["merge_s"] = metric{median(merges), "s"}
 	b.report["run_read_p50_ms"] = metric{quantile(reads, 0.5), "ms"}
 	b.report["run_read_p99_ms"] = metric{quantile(reads, 0.99), "ms"}
@@ -187,7 +186,8 @@ func evidenceUntraced(spec *dist.Spec, paths []string, pool *core.MachinePool, w
 		p.reads = append(p.reads, time.Since(start))
 		p.lines[k] = line
 	}
-	p.exec, p.merge, p.total = t1.Sub(t0), t2.Sub(t1), time.Since(t0)
+	p.exec, p.merge = t1.Sub(t0), t2.Sub(t1)
+	p.job, p.pass = interval{t0, t2}, interval{t0, time.Now()}
 	p.merged, p.shards = merged, shards
 	return p, nil
 }

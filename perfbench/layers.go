@@ -90,7 +90,7 @@ func (b *bench) sameAggregate(untraced, traced *core.CampaignResult) {
 }
 
 func unitOf(name string) string {
-	for _, m := range perLayer {
+	for _, m := range append(endToEnd, perLayer...) {
 		if m.name == name {
 			return m.unit
 		}

@@ -6,7 +6,8 @@
 //	bash perfbench/run.sh --workload fig3-evidence --seed 1 --seconds 20 --trace 0
 //
 // With --trace 0 the result carries the end-to-end metrics of
-// BENCHMARK.json, measured with tracing off. With --trace 1 the same
+// BENCHMARK.json, measured with tracing off; their timings are scaled to a
+// reference host speed (see speed.go). With --trace 1 the same
 // workload runs untraced and then traced on the same inputs, and the
 // result carries the per-layer metrics. PREDICTIONS.md says which
 // end-to-end metric each per-layer metric should move, and on which
@@ -41,6 +42,9 @@ const goldenTraceHash = 0xa10df7f198db0642
 // setupReps is how many times a run builds its workload's system; setup_s
 // is the median.
 const setupReps = 21
+
+// interval is a timed stretch of wall time.
+type interval struct{ from, to time.Time }
 
 type metric struct {
 	Value float64 `json:"value"`
@@ -107,6 +111,7 @@ type bench struct {
 	nproc    int
 	dir      string
 	tr       *tracer
+	probe    *speedProbe
 
 	seedMu    sync.Mutex
 	seedState uint64
@@ -118,6 +123,13 @@ type bench struct {
 
 	metrics map[string]metric // gated metrics of this mode
 	report  map[string]metric // further figures, printed and archived
+
+	// The workload records these; finish turns them into the timed
+	// end-to-end metrics once the speed probe has stopped.
+	setups []interval // each set-up
+	jobs   []interval // each job of the untraced run
+	timed  []interval // the timed stretches of the untraced run
+	runs   int        // runs executed in the timed stretches
 }
 
 func main() { os.Exit(run()) }
@@ -158,6 +170,8 @@ func run() int {
 	b.dir = dir
 	defer os.RemoveAll(dir)
 
+	b.probe = startSpeedProbe()
+	defer b.probe.halt()
 	b.gate()
 	if b.failed.Load() == 0 {
 		if err := drive(b); err != nil {
@@ -249,13 +263,10 @@ func (b *bench) recordFailure(msg string) {
 	}
 }
 
-// setup runs build setupReps times and records the median as setup_s.
-// Every build but the last is torn down with release; the last is kept.
+// setup runs build setupReps times and records each for setup_s. Every
+// build but the last is torn down with release; the last is kept.
 func setup[T any](b *bench, build func() (T, error), release func(T)) (T, error) {
-	var (
-		last  T
-		times []float64
-	)
+	var last T
 	for i := 0; i < setupReps; i++ {
 		if i > 0 {
 			release(last)
@@ -265,10 +276,9 @@ func setup[T any](b *bench, build func() (T, error), release func(T)) (T, error)
 		if err != nil {
 			return last, fmt.Errorf("setup: %w", err)
 		}
-		times = append(times, time.Since(start).Seconds())
+		b.setups = append(b.setups, interval{start, time.Now()})
 		last = v
 	}
-	b.metrics["setup_s"] = metric{median(times), "s"}
 	b.resetPeakRSS()
 	return last, nil
 }
@@ -313,18 +323,58 @@ func warmPool(pool *core.MachinePool, opts []core.MachineOptions, n int) ([]floa
 	return builds, nil
 }
 
-// setJobs records the end-to-end job latency percentiles and the
-// throughput: runs executed over the timed wall time of the run.
-func (b *bench) setJobs(jobs []float64, runs int, timed time.Duration) {
-	b.metrics["job_p50_s"] = metric{quantile(jobs, 0.5), "s"}
-	b.metrics["job_p90_s"] = metric{quantile(jobs, 0.9), "s"}
-	b.metrics["runs_per_s"] = metric{float64(runs) / timed.Seconds(), "1/s"}
-	b.report["job_samples"] = metric{float64(len(jobs)), "count"}
-	b.report["runs"] = metric{float64(runs), "count"}
+// timeMetrics stops the speed probe and records the timed end-to-end
+// metrics: setup_s, the median set-up; job_p50_s and job_p90_s; and
+// runs_per_s, the runs executed over the timed time. Each is scaled to the
+// reference host; the wall figures go to the report with a _wall suffix.
+func (b *bench) timeMetrics() {
+	b.probe.halt()
+	probes := b.probe.probeTimes()
+	b.report["probe_p50_ms"] = metric{median(probes) * 1e3, "ms"}
+	b.report["probe_samples"] = metric{float64(len(probes)), "count"}
+	if !b.check(len(probes) >= probeMinimum, "speed probe: %d samples, want at least %d", len(probes), probeMinimum) {
+		return
+	}
+	type figure struct {
+		name      string
+		ivs       []interval
+		summarise func([]float64) float64
+	}
+	total := func(v []float64) float64 {
+		var s float64
+		for _, x := range v {
+			s += x
+		}
+		return float64(b.runs) / s
+	}
+	for _, f := range []figure{
+		{"setup_s", b.setups, median},
+		{"job_p50_s", b.jobs, median},
+		{"job_p90_s", b.jobs, func(v []float64) float64 { return quantile(v, 0.9) }},
+		{"runs_per_s", b.timed, total},
+	} {
+		if len(f.ivs) == 0 {
+			continue
+		}
+		wall := make([]float64, len(f.ivs))
+		scaled := make([]float64, len(f.ivs))
+		for i, iv := range f.ivs {
+			wall[i] = iv.to.Sub(iv.from).Seconds()
+			scaled[i] = b.probe.scaled(iv.from, iv.to)
+		}
+		unit := unitOf(f.name)
+		b.metrics[f.name] = metric{f.summarise(scaled), unit}
+		b.report[f.name+"_wall"] = metric{f.summarise(wall), unit}
+	}
+	b.report["job_samples"] = metric{float64(len(b.jobs)), "count"}
+	b.report["runs"] = metric{float64(b.runs), "count"}
 }
 
 // finish prints the report and the result line and returns the exit code.
 func (b *bench) finish() int {
+	if !b.traced && b.failed.Load() == 0 {
+		b.timeMetrics()
+	}
 	// A workload may have taken the peak over a window of its own.
 	if _, set := b.metrics["max_rss_mb"]; !set {
 		if kb, err := peakRSSKiB(); err == nil {
@@ -425,6 +475,16 @@ func (b *bench) hostFacts() map[string]any {
 	}
 }
 
+// jobLog lists each job as its start since the probe's epoch, its wall
+// time and its scaled time, in seconds.
+func (b *bench) jobLog() [][3]float64 {
+	out := make([][3]float64, len(b.jobs))
+	for i, iv := range b.jobs {
+		out[i] = [3]float64{iv.from.Sub(b.probe.epoch).Seconds(), iv.to.Sub(iv.from).Seconds(), b.probe.scaled(iv.from, iv.to)}
+	}
+	return out
+}
+
 // writeReport prints every metric by name and unit on stderr and archives
 // the run (host facts, metrics, failures, spans) under .bench_build/results.
 func (b *bench) writeReport(published map[string]metric, attempted, failed int64) {
@@ -448,7 +508,7 @@ func (b *bench) writeReport(published map[string]metric, attempted, failed int64
 	base := filepath.Join(results, fmt.Sprintf("%s-seed%d-trace%v", b.workload, b.seed, facts["trace"]))
 	doc, _ := json.MarshalIndent(map[string]any{
 		"host": facts, "attempted": attempted, "failed": failed, "failures": b.failures,
-		"metrics": published, "report": b.report,
+		"metrics": published, "report": b.report, "jobs": b.jobLog(), "probes": b.probe.samples(),
 	}, "", "  ")
 	if err := os.WriteFile(base+".json", append(doc, '\n'), 0o644); err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench: results:", err)

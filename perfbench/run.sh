@@ -2,7 +2,7 @@
 # Builds the benchmark from source and runs it. Run from the repository
 # root:
 #
-#   bash perfbench/run.sh --workload fig3-evidence --seed 1 --seconds 40 --trace 0
+#   bash perfbench/run.sh --workload fig3-evidence --seed 1 --seconds 50 --trace 0
 #
 # Everything the build and the run write stays under .bench_build/ in the
 # current directory: the Go build cache, the binary, scratch artefacts and

@@ -64,9 +64,10 @@ type serveLoad struct {
 	mu      sync.Mutex
 	results map[string]*serveJob // cache key → the fresh job that computed it
 
-	jobLat, hitLat, readLat, artLat []float64
-	freshRuns, ops                  int
-	rssKiB                          float64 // peak resident set when serveRSSJobs jobs were done
+	jobs                    []interval // fresh jobs, submit to done
+	hitLat, readLat, artLat []float64
+	freshRuns, ops          int
+	rssKiB                  float64 // peak resident set when serveRSSJobs jobs were done
 }
 
 // serveSystem is one set-up server with its warm pool.
@@ -144,11 +145,11 @@ func runServe(b *bench) error {
 	if err != nil {
 		return err
 	}
-	b.setJobs(untraced.jobLat, untraced.freshRuns, wall)
+	b.jobs, b.timed, b.runs = untraced.jobs, []interval{wall}, untraced.freshRuns
 	if untraced.rssKiB > 0 {
 		b.metrics["max_rss_mb"] = metric{untraced.rssKiB / 1024, "MB"}
 	} else {
-		b.report["rss_jobs_short"] = metric{float64(len(untraced.jobLat)), "count"}
+		b.report["rss_jobs_short"] = metric{float64(len(untraced.jobs)), "count"}
 	}
 	b.report["run_read_p50_ms"] = metric{quantile(untraced.readLat, 0.5), "ms"}
 	b.report["run_read_p99_ms"] = metric{quantile(untraced.readLat, 0.99), "ms"}
@@ -187,9 +188,9 @@ func runServe(b *bench) error {
 	for _, s := range b.tr.spans {
 		spanned += float64(s.End - s.Start)
 	}
-	b.metrics["trace.coverage_pct"] = metric{100 * spanned / (float64(b.nproc) * float64(twall)), "%"}
-	untracedRate := float64(untraced.ops) / wall.Seconds()
-	tracedRate := float64(traced.ops) / twall.Seconds()
+	b.metrics["trace.coverage_pct"] = metric{100 * spanned / (float64(b.nproc) * float64(twall.to.Sub(twall.from))), "%"}
+	untracedRate := float64(untraced.ops) / wall.to.Sub(wall.from).Seconds()
+	tracedRate := float64(traced.ops) / twall.to.Sub(twall.from).Seconds()
 	b.metrics["trace.overhead_pct"] = metric{100 * (untracedRate/tracedRate - 1), "%"}
 
 	// Keys both phases executed must have reached the same results.
@@ -219,7 +220,8 @@ func runServe(b *bench) error {
 }
 
 // serveLoad runs the closed loop for d against sys and checks its outputs.
-func (b *bench) serveLoad(sys *serveSystem, tr *tracer, d time.Duration) (*serveLoad, time.Duration, error) {
+// It returns the load and the stretch of wall time it ran.
+func (b *bench) serveLoad(sys *serveSystem, tr *tracer, d time.Duration) (*serveLoad, interval, error) {
 	ld := &serveLoad{
 		b: b, client: &serve.Client{Base: sys.hs.URL, HTTP: sys.http}, tr: tr,
 		results: make(map[string]*serveJob),
@@ -236,7 +238,7 @@ func (b *bench) serveLoad(sys *serveSystem, tr *tracer, d time.Duration) (*serve
 		}()
 	}
 	wg.Wait()
-	wall := time.Since(start)
+	wall := interval{start, time.Now()}
 
 	// Untimed: the engine fingerprint.
 	h, err := ld.client.Health(ctx)
@@ -322,7 +324,7 @@ func (ld *serveLoad) fresh(ctx context.Context, c int, tenant, plan string, seed
 	if err != nil {
 		return nil, err
 	}
-	lat := time.Since(start)
+	done := time.Now()
 	sum := 0
 	for _, n := range final.Distribution {
 		sum += n
@@ -335,9 +337,9 @@ func (ld *serveLoad) fresh(ctx context.Context, c int, tenant, plan string, seed
 	ld.mu.Lock()
 	defer ld.mu.Unlock()
 	ld.results[j.key] = j
-	ld.jobLat = append(ld.jobLat, lat.Seconds())
+	ld.jobs = append(ld.jobs, interval{start, done})
 	ld.freshRuns += serveRuns
-	if len(ld.jobLat) == serveRSSJobs {
+	if len(ld.jobs) == serveRSSJobs {
 		kb, err := peakRSSKiB()
 		if err != nil {
 			return nil, err
